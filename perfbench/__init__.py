@@ -1,0 +1,5 @@
+"""Layer-attributed end-to-end benchmark of the transparent-edge simulator.
+
+``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+runs one workload and prints its metrics; see ``perfbench/README.md``.
+"""
