@@ -5,14 +5,13 @@ hot path (indexed flow-table lookup vs. the reference linear scan,
 microflow-cached forwarding, flow churn through the exact-match index, raw
 event-loop throughput, allocation-lean header rewrites, the memoized
 controller slow path, the warm-cache hit rates under unrelated churn —
-fine-grained revalidation vs. the coarse flush-everything oracle — the
-prefix-trie service registry from 1k to 1M registered services, the
-million-frame A6 scale scenario with peak memory, and the
-domain-sharded lockstep scenario at 1/2/4 worker
-processes) plus end-to-end experiment drivers, and writes a
-machine-readable record (``BENCH_<series>.json``, see ``BENCH_SERIES``)
-so future PRs can compare against it (``python -m repro.bench --compare
-OLD.json``) instead of re-deriving a baseline.
+per-key revalidation vs. the uncached controller — the prefix-trie
+service registry from 1k to 1M registered services, the million-frame
+A6 scale scenario with peak memory, and the domain-sharded lockstep
+scenario at 1/2/4 worker processes) plus end-to-end experiment drivers,
+and writes a machine-readable record (``BENCH_<series>.json``, see
+``BENCH_SERIES``) so future PRs can compare against it (``python -m
+repro.bench --compare OLD.json``) instead of re-deriving a baseline.
 
 Every benchmark body is a deterministic simulation; only the *measurement*
 is host wall time / memory, which never feeds back into any simulated
@@ -232,66 +231,15 @@ def bench_event_loop(events: int = 100_000) -> Dict[str, Any]:
 # --------------------------------------------- PR 5: allocation benchmarks
 
 
-@dataclasses.dataclass(frozen=True)
-class _LegacyTCP:
-    """The seed's (pre-slots) TCP segment: frozen dataclass with ``__dict__``."""
-
-    src_port: int
-    dst_port: int
-    seq: int = 0
-    ack: int = 0
-    flags: int = 0
-    payload: Any = None
-    payload_bytes: int = 0
-    last_fragment: bool = True
-
-
-@dataclasses.dataclass(frozen=True)
-class _LegacyIPv4:
-    src: Any
-    dst: Any
-    proto: int
-    payload: Any
-    ttl: int = 64
-
-
-@dataclasses.dataclass(frozen=True)
-class _LegacyFrame:
-    src: Any
-    dst: Any
-    ethertype: int
-    payload: Any
-    frame_id: int = 0
-
-
-def _legacy_rewrite(frame: _LegacyFrame, field: str, value: Any) -> _LegacyFrame:
-    """The seed's per-field rewrite: one ``dataclasses.replace`` chain each."""
-    if field == "eth_src":
-        return dataclasses.replace(frame, src=value)
-    if field == "eth_dst":
-        return dataclasses.replace(frame, dst=value)
-    packet = frame.payload
-    if field == "ipv4_src":
-        return dataclasses.replace(frame, payload=dataclasses.replace(packet, src=value))
-    if field == "ipv4_dst":
-        return dataclasses.replace(frame, payload=dataclasses.replace(packet, dst=value))
-    kwargs = {"src_port": value} if field.endswith("_src") else {"dst_port": value}
-    new_l4 = dataclasses.replace(packet.payload, **kwargs)
-    return dataclasses.replace(frame, payload=dataclasses.replace(packet, payload=new_l4))
-
-
 def bench_packet_rewrite(packets: int = 50_000,
                          timing_rounds: int = 200_000) -> Dict[str, Any]:
-    """Per-packet allocation bytes and wall time of a 4-field NAT rewrite.
+    """Per-packet allocation bytes and wall time of a 4-field NAT rewrite
+    through the fused batch rewrite in
+    :func:`repro.openflow.actions.apply_actions_multi`.
 
-    Compares the seed's packet model (dict-backed frozen dataclasses, one
-    ``dataclasses.replace`` chain per set-field — reconstructed locally as
-    the ``_Legacy*`` classes) against the current slotted model with the
-    fused batch rewrite in :func:`repro.openflow.actions.apply_actions_multi`.
-
-    Allocation is measured with tracemalloc by *retaining* every frame each
-    path produces (intermediates included), so the byte count is the true
-    per-packet allocation churn, not the net survivor size.
+    Allocation is measured with tracemalloc by *retaining* every frame the
+    rewrite produces, so the byte count is the true per-packet allocation
+    churn, not the net survivor size.
     """
     import gc
 
@@ -313,18 +261,6 @@ def bench_packet_rewrite(packets: int = 50_000,
                      proto=IP_PROTO_TCP, payload=seg)
     frame = EthernetFrame(src=mac(3), dst=mac(4), ethertype=ETH_TYPE_IP, payload=pkt)
 
-    legacy_seg = _LegacyTCP(src_port=8080, dst_port=40000, payload_bytes=615)
-    legacy_pkt = _LegacyIPv4(src=pkt.src, dst=pkt.dst, proto=IP_PROTO_TCP,
-                             payload=legacy_seg)
-    legacy_frame = _LegacyFrame(src=frame.src, dst=frame.dst,
-                                ethertype=ETH_TYPE_IP, payload=legacy_pkt)
-
-    def run_legacy(sink: Callable[[Any], None]) -> None:
-        current = legacy_frame
-        for field, value in nat_fields:
-            current = _legacy_rewrite(current, field, value)
-            sink(current)
-
     def run_fused(sink: Callable[[Any], None]) -> None:
         for out_frame, _port in apply_actions_multi(frame, actions):
             sink(out_frame)
@@ -342,14 +278,9 @@ def bench_packet_rewrite(packets: int = 50_000,
         del debris
         return total / packets
 
-    legacy_bytes = alloc_bytes_per_packet(run_legacy)
     fused_bytes = alloc_bytes_per_packet(run_fused)
 
     discard: Callable[[Any], None] = lambda _frame: None
-    started = _now()
-    for _ in range(timing_rounds):
-        run_legacy(discard)
-    legacy_s = _now() - started
     started = _now()
     for _ in range(timing_rounds):
         run_fused(discard)
@@ -358,10 +289,7 @@ def bench_packet_rewrite(packets: int = 50_000,
     return {
         "packets": packets,
         "set_fields": len(nat_fields),
-        "bytes_per_packet_legacy": round(legacy_bytes, 1),
         "bytes_per_packet_fused": round(fused_bytes, 1),
-        "alloc_reduction": round(legacy_bytes / fused_bytes, 2) if fused_bytes else None,
-        "us_per_rewrite_legacy": round(legacy_s / timing_rounds * 1e6, 3),
         "us_per_rewrite_fused": round(fused_s / timing_rounds * 1e6, 3),
     }
 
@@ -441,25 +369,23 @@ def bench_warm_churn(packet_ins: int = 20_000, drain_every: int = 1_000,
                      repeats: int = 3, mf_flows: int = 256,
                      mf_packets: int = 200_000,
                      mf_churn_every: int = 64) -> Dict[str, Any]:
-    """Warm-cache hit rates under *unrelated* churn, fine vs. coarse.
+    """Warm-cache hit rates under *unrelated* churn.
 
-    The revalidation PR's headline benchmark. Both halves interleave hot
-    traffic with mutations that are irrelevant to it, and run each cache
-    discipline side by side:
+    Both halves interleave hot traffic with mutations that are irrelevant
+    to it:
 
     * **Controller half** — the memoized slow path of
       :func:`bench_controller_slow_path`, but between every timed
       packet-in an unrelated cloud-prefix service registers/deregisters
       and a foreign client's FlowMemory entry is remembered/forgotten.
-      Under fine-grained revalidation the install plan's per-key tokens
-      (registry token, FlowMemory version, host version, cluster
-      generation) are all untouched, so the plan stays warm; the coarse
-      epoch pins the global generations and re-misses on every packet.
+      The install plan's per-key tokens (registry token, FlowMemory
+      version, host version, cluster generation) are all untouched, so the
+      plan stays warm. The uncached controller (``memoize_slow_path=False``)
+      runs the same schedule as the reference cost.
     * **Switch half** — :func:`bench_microflow_forwarding`'s loop, but an
       unrelated exact-match rule installs+deletes every
       ``mf_churn_every`` packets. Surgical eviction leaves the cached
-      microflows alone; the coarse oracle flushes the whole cache, and at
-      ``mf_churn_every < mf_flows`` it never rewarms.
+      microflows alone: no wholesale flush, no eviction.
 
     Each timed half runs ``repeats`` times from a fresh testbed and reports
     the best (timeit-style minimum — the work is deterministic, the spread
@@ -476,25 +402,23 @@ def bench_warm_churn(packet_ins: int = 20_000, drain_every: int = 1_000,
     # the churn is *provably* unrelated to the hot flow.
     churn_sid = synth_service_ids(12, 1, synth_cloud_prefixes(seed=11,
                                                               count=16))[0]
-    for label, fine in (("fine", True), ("coarse", False)):
+    for label, memoize in (("fine", True), ("nomemo", False)):
         # Best-of-repeats (timeit-style min over fresh testbeds): the
         # per-packet cost is deterministic work, so the minimum is the
         # measurement and the spread is scheduler/allocator noise.
         best = float("inf")
         hits = misses = 0
         for _rep in range(repeats):
-            tb, ev = _slow_path_testbed(memoize=True)
+            tb, ev = _slow_path_testbed(memoize)
             ctrl = tb.controller
-            ctrl.cfg.fine_grained_revalidation = fine
             foreign_client = IPv4("198.18.0.1")  # RFC 2544 range: not a host
             flow = next(iter(ctrl.memory._flows.values()))
             hot_sid = flow.key[1]
             # Seed the foreign FlowMemory entry once; the churn loop then
             # *overwrites* it in place — every overwrite bumps the global
-            # generation and the foreign key's version (the mutation the
-            # coarse epoch trips over) without scheduling a fresh idle timer
-            # per op, which would grow the event heap and tax both modes
-            # equally.
+            # generation and the foreign key's version without scheduling a
+            # fresh idle timer per op, which would grow the event heap and
+            # tax both runs equally.
             ctrl.memory.remember(foreign_client, hot_sid, flow.cluster,
                                  flow.endpoint)
             hits0 = ctrl.stats["slow_path_plan_hits"]
@@ -504,7 +428,7 @@ def bench_warm_churn(packet_ins: int = 20_000, drain_every: int = 1_000,
             registered = False
             # GC pauses land in whichever timed section they like; park
             # collection during the bursts and catch up at the (untimed)
-            # drain points so both modes pay it identically.
+            # drain points so both runs pay it identically.
             gc.disable()
             try:
                 for start in range(0, packet_ins, drain_every):
@@ -530,10 +454,11 @@ def bench_warm_churn(packet_ins: int = 20_000, drain_every: int = 1_000,
             hits = ctrl.stats["slow_path_plan_hits"] - hits0
             misses = ctrl.stats["slow_path_plan_misses"] - misses0
         out[f"us_per_packetin_{label}"] = round(best / packet_ins * 1e6, 3)
-        out[f"memo_hit_pct_{label}"] = round(
-            hits / max(1, hits + misses) * 100.0, 2)
-    out["packetin_speedup"] = round(out["us_per_packetin_coarse"]
-                                    / out["us_per_packetin_fine"], 2)
+        if memoize:
+            out["memo_hit_pct_fine"] = round(
+                hits / max(1, hits + misses) * 100.0, 2)
+    out["packetin_speedup_vs_nomemo"] = round(
+        out["us_per_packetin_nomemo"] / out["us_per_packetin_fine"], 2)
 
     from repro.netsim import (
         ETH_TYPE_IP, EthernetFrame, IPv4Packet, TCPSegment, ip, mac)
@@ -544,46 +469,41 @@ def bench_warm_churn(packet_ins: int = 20_000, drain_every: int = 1_000,
 
     mf: Dict[str, Any] = {"flows": mf_flows, "packets": mf_packets,
                           "churn_every": mf_churn_every}
-    for label, surgical in (("surgical", True), ("coarse", False)):
-        best = float("inf")
-        for _rep in range(repeats):
-            sim = Simulator()
-            switch = OpenFlowSwitch(sim, "bench-sw", dpid=1,
-                                    microflow_surgical=surgical)
-            frames = []
-            for i in range(mf_flows):
-                dst = f"172.16.{i // 256 % 256}.{i % 256}"
-                switch.table.install(FlowEntry(
-                    match=Match(eth_type=0x0800, ip_proto=6, ipv4_dst=dst,
-                                tcp_dst=80),
-                    priority=100, actions=[OutputAction(1)]))
-                seg = TCPSegment(src_port=40000, dst_port=80)
-                pkt = IPv4Packet(src=ip("10.0.0.1"), dst=ip(dst),
-                                 proto=IP_PROTO_TCP, payload=seg)
-                frames.append(EthernetFrame(src=mac(1), dst=mac(2),
-                                            ethertype=ETH_TYPE_IP,
-                                            payload=pkt))
-            churn_match = Match(eth_type=0x0800, ip_proto=6,
-                                ipv4_src="192.0.2.9", ipv4_dst="192.0.2.10",
-                                tcp_dst=443)
-            started = _now()
-            for i in range(mf_packets):
-                if i % mf_churn_every == 0:
-                    switch.table.install(FlowEntry(match=churn_match,
-                                                   priority=50,
-                                                   actions=[OutputAction(2)]))
-                    switch.table.delete(churn_match, strict=True, priority=50)
-                switch.on_frame(2, frames[i % mf_flows])
-                if i % 10_000 == 9_999:
-                    sim.run()
-            sim.run()
-            best = min(best, _now() - started)
-        mf[f"us_per_packet_{label}"] = round(best / mf_packets * 1e6, 3)
-        mf[f"hit_pct_{label}"] = round(switch.microflow_hit_rate * 100.0, 2)
-        mf[f"mf_evictions_{label}"] = switch.mf_evictions
-        mf[f"mf_flushes_{label}"] = switch.mf_flushes
-    mf["packet_speedup"] = round(mf["us_per_packet_coarse"]
-                                 / mf["us_per_packet_surgical"], 2)
+    best = float("inf")
+    for _rep in range(repeats):
+        sim = Simulator()
+        switch = OpenFlowSwitch(sim, "bench-sw", dpid=1)
+        frames = []
+        for i in range(mf_flows):
+            dst = f"172.16.{i // 256 % 256}.{i % 256}"
+            switch.table.install(FlowEntry(
+                match=Match(eth_type=0x0800, ip_proto=6, ipv4_dst=dst,
+                            tcp_dst=80),
+                priority=100, actions=[OutputAction(1)]))
+            seg = TCPSegment(src_port=40000, dst_port=80)
+            pkt = IPv4Packet(src=ip("10.0.0.1"), dst=ip(dst),
+                             proto=IP_PROTO_TCP, payload=seg)
+            frames.append(EthernetFrame(src=mac(1), dst=mac(2),
+                                        ethertype=ETH_TYPE_IP, payload=pkt))
+        churn_match = Match(eth_type=0x0800, ip_proto=6,
+                            ipv4_src="192.0.2.9", ipv4_dst="192.0.2.10",
+                            tcp_dst=443)
+        started = _now()
+        for i in range(mf_packets):
+            if i % mf_churn_every == 0:
+                switch.table.install(FlowEntry(match=churn_match,
+                                               priority=50,
+                                               actions=[OutputAction(2)]))
+                switch.table.delete(churn_match, strict=True, priority=50)
+            switch.on_frame(2, frames[i % mf_flows])
+            if i % 10_000 == 9_999:
+                sim.run()
+        sim.run()
+        best = min(best, _now() - started)
+    mf["us_per_packet_surgical"] = round(best / mf_packets * 1e6, 3)
+    mf["hit_pct_surgical"] = round(switch.microflow_hit_rate * 100.0, 2)
+    mf["mf_evictions_surgical"] = switch.mf_evictions
+    mf["mf_flushes_surgical"] = switch.mf_flushes
     out["microflow"] = mf
     return out
 
@@ -657,7 +577,7 @@ def _synthetic_snapshot(rules: int, switches: int = 4) -> Any:
                                        actions=(OutputAction(1),)))
         switch_views.append(SwitchView(
             dpid=dpid, name=f"s{dpid}", generation=per_switch,
-            microflow_generation=-1, rules=tuple(rule_views),
+            rules=tuple(rule_views),
             stale_cache=()))
         hosts.append(HostView(ip=IPv4(f"192.168.{dpid}.1"), dpid=dpid,
                               port_no=1, mac=MAC(f"02:00:00:00:{dpid:02x}:01")))
@@ -786,6 +706,10 @@ def bench_registry_lookup(
         service_ids = synth_service_ids(6, size, prefixes, udp_share=0.2)
         registry = ServiceRegistry()
 
+        # Start every tier from an empty young generation: otherwise the
+        # heap the earlier benchmarks left behind decides whether a full
+        # collection lands inside this short timed window.
+        gc.collect()
         started = _now()
         bulk_register(registry, service_ids)
         register_s = _now() - started

@@ -82,9 +82,9 @@ class _HostTable(Dict[IPv4, Tuple[int, int, MAC]]):
 
     Memoized install plans embed host locations; any write — including the
     direct writes testbed builders do (``controller.hosts[ip] = ...``) —
-    bumps the global ``version`` (the coarse revalidation token) and stamps
-    the written key, so :meth:`version_of` can revalidate a plan against
-    *that client's* location only (the fine-grained token).
+    bumps the global ``version`` (the O(1) "nothing moved" fast path) and
+    stamps the written key, so :meth:`version_of` can revalidate a plan
+    against *that client's* location only (the per-key token).
     """
 
     __slots__ = ("version", "_key_versions", "_clears")
@@ -137,10 +137,9 @@ class _InstallPlan:
     are NOT part of the plan (every install draws a fresh one) and datapaths
     are fetched live at send time."""
 
-    #: validity token (registry, flow-memory, hosts, cluster) the plan was
-    #: computed under, compared per entry on reuse. Fine-grained mode uses
-    #: per-key tokens (see ``_plan_epoch``), coarse mode the four global
-    #: generation counters.
+    #: per-key validity token (registry, flow-memory, hosts, cluster) the
+    #: plan was computed under, compared per entry on reuse (see
+    #: ``_plan_epoch``).
     epoch: Tuple[object, ...]
     #: the four *global* counters at compute/last-revalidation time — the
     #: O(1) fast path on reuse: while no counter moved anywhere, the
@@ -201,18 +200,14 @@ class ControllerConfig:
     #: ablation switch: with False, re-misses always run the full dispatch
     use_flow_memory: bool = True
     #: memoize the packet-in slow path (registry lookup result + computed
-    #: install plan) with generation-counter invalidation; behaviour-neutral
+    #: install plan) with per-key revalidation: the service memo checks each
+    #: entry against ``ServiceRegistry.generation_of`` and install plans
+    #: against per-key epochs (registry token, per-(client, service)
+    #: FlowMemory version, per-client host version, per-cluster generation),
+    #: so churn on service X never colds the caches for service Y.
+    #: Behaviour-neutral: ``False`` is the uncached reference
     #: (tests/core/test_controller_memoization.py proves it differentially)
     memoize_slow_path: bool = True
-    #: revalidate slow-path memos per key instead of flushing wholesale:
-    #: the service memo revalidates each entry against
-    #: ``ServiceRegistry.generation_of`` and install plans against per-key
-    #: epochs (registry token, per-(client, service) FlowMemory version,
-    #: per-client host version, per-cluster generation), so churn on
-    #: service X never colds the caches for service Y. ``False`` selects
-    #: the coarse global-generation path, kept as the differential oracle
-    #: (tests/core/test_fine_revalidation.py).
-    fine_grained_revalidation: bool = True
     #: inter-switch topology for multi-switch deployments (None: single
     #: switch, the fig. 8 testbed)
     fabric: Optional["FabricTopology"] = None
@@ -276,16 +271,10 @@ class TransparentEdgeController(RyuApp):
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no, attachment.mac)
         #: memoized registry lookups: (dst ip, dst port, protocol) ->
-        #: EdgeService | None, valid while the registry generation is
-        #: unchanged. Protocol is part of the key — a TCP and a UDP service
-        #: on the same address:port are distinct registrations and must not
-        #: collide in the memo.
-        self._service_cache: Dict[Tuple[IPv4, int, str],
-                                  Optional[EdgeService]] = {}
-        self._service_cache_gen = -1
-        #: the fine-grained replacement for ``_service_cache``: same keys,
-        #: but entries revalidate individually against the registry's
-        #: per-key token instead of being flushed on a generation mismatch
+        #: EdgeService | None, each entry revalidated against the registry's
+        #: per-key token. Protocol is part of the key — a TCP and a UDP
+        #: service on the same address:port are distinct registrations and
+        #: must not collide in the memo.
         self._service_memo: RevalidatingCache[Tuple[IPv4, int, str],
                                               Optional[EdgeService],
                                               RegistryToken] = RevalidatingCache(
@@ -447,33 +436,17 @@ class TransparentEdgeController(RyuApp):
         address inside a subnet-registered prefix resolves to that service
         (longest match wins).
 
-        Fine-grained mode (default) revalidates each memo entry against
-        the registry's per-key token, so churn on unrelated services keeps
-        the whole cache warm; the coarse path clears everything on any
-        registry mutation and is kept as the differential oracle."""
+        Each memo entry revalidates against the registry's per-key token,
+        so churn on unrelated services keeps the whole cache warm."""
         if not self.cfg.memoize_slow_path:
             return self.registry.lookup_prefix(dst, dst_port, protocol)
         key = (dst, dst_port, protocol)
-        if self.cfg.fine_grained_revalidation:
-            found, cached = self._service_memo.get(key)
-            if found:
-                return cached
-            service = self.registry.lookup_prefix(dst, dst_port, protocol)
-            self._service_memo.store(key, service)
-            return service
-        if self._service_cache_gen != self.registry.generation:
-            # Coarse differential oracle: any registry mutation colds the
-            # entire memo (the behaviour fine-grained revalidation replaces).
-            self._service_cache.clear()  # repro: noqa[REP009]
-            self._service_cache_gen = self.registry.generation
-        try:
-            return self._service_cache[key]
-        except KeyError:
-            service = self.registry.lookup_prefix(dst, dst_port, protocol)
-            if len(self._service_cache) >= PLAN_CACHE_CAPACITY:
-                self._service_cache.clear()  # repro: noqa[REP009]
-            self._service_cache[key] = service
-            return service
+        found, cached = self._service_memo.get(key)
+        if found:
+            return cached
+        service = self.registry.lookup_prefix(dst, dst_port, protocol)
+        self._service_memo.store(key, service)
+        return service
 
     # ------------------------------------------------------------- learning
 
@@ -610,21 +583,17 @@ class TransparentEdgeController(RyuApp):
                     dst_addr: IPv4, cluster: EdgeCluster) -> Tuple[object, ...]:
         """The validity token an install plan is compared against on reuse.
 
-        Fine-grained mode keys it on exactly what the plan depends on: the
-        registry token of the addressed identity, this (client, service)
-        pair's FlowMemory version, this client's host-table version, and
-        the chosen cluster's own generation — so churn on service X or
-        client Y never invalidates the plans of anyone else. Coarse mode
-        uses the four *global* counters (any churn anywhere invalidates
-        every plan) and is kept as the differential oracle.
+        Keyed on exactly what the plan depends on: the registry token of
+        the addressed identity, this (client, service) pair's FlowMemory
+        version, this client's host-table version, and the chosen cluster's
+        own generation — so churn on service X or client Y never
+        invalidates the plans of anyone else.
         """
-        if self.cfg.fine_grained_revalidation:
-            sid = service.service_id
-            return (self.registry.generation_of(dst_addr, sid.port, sid.protocol),
-                    self.memory.version_of(client, sid),
-                    self.hosts.version_of(client),
-                    cluster.generation)
-        return self._global_epoch(cluster)
+        sid = service.service_id
+        return (self.registry.generation_of(dst_addr, sid.port, sid.protocol),
+                self.memory.version_of(client, sid),
+                self.hosts.version_of(client),
+                cluster.generation)
 
     def _global_epoch(self, cluster: EdgeCluster) -> Tuple[int, int, int, int]:
         """The four global generation counters — unchanged iff *nothing*
@@ -738,7 +707,7 @@ class TransparentEdgeController(RyuApp):
         # Memoized slow path: identical re-misses (same client, service,
         # cluster, endpoint) reuse the computed plan — matches and action
         # lists are immutable/copied-on-send, so reuse is safe. Mirrors the
-        # switch microflow cache: per-entry generation epoch, wholesale
+        # switch microflow cache: per-entry revalidation, wholesale
         # flush on capacity overflow. Cookies are always fresh and
         # datapaths always fetched live, so the observable message stream
         # is identical to the unmemoized path.
@@ -972,10 +941,8 @@ class TransparentEdgeController(RyuApp):
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no,
                                 attachment.mac)
-        # Crash reset: a warm-restarted controller must forget every memo,
-        # fine-grained or not — this is the one legitimate wholesale wipe.
-        self._service_cache.clear()  # repro: noqa[REP009]
-        self._service_cache_gen = -1
+        # Crash reset: a warm-restarted controller must forget every memo —
+        # this is the one legitimate wholesale wipe.
         self._service_memo.flush()
         self._plan_cache.clear()  # repro: noqa[REP009]
         self._cookie_cluster.clear()

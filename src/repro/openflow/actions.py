@@ -11,13 +11,12 @@ in a small dict and materialize as one multi-layer
 output boundary (apply-actions semantics: an output emits the frame as
 rewritten *so far*). A 4-field NAT rewrite then allocates one object per
 mutated layer instead of one full ``dataclasses.replace`` chain per field.
-``apply_actions_multi_reference`` keeps the per-field replace chain verbatim
-as the differential-testing oracle and the allocation benchmark baseline.
+The per-layer reference is ``test_fused_equals_layerwise`` in
+``tests/property/test_interning_and_rewrite.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.addresses import MAC, IPv4
@@ -165,59 +164,6 @@ def apply_actions_multi(
             if pending:
                 current = _apply_fields(current, pending)
                 pending = {}
-            outputs.append((current, action.port))
-        else:  # pragma: no cover
-            raise TypeError(f"unsupported action {action!r}")
-    return outputs
-
-
-# --------------------------------------------------------------------------
-# Reference implementation (pre-fusing): one dataclasses.replace chain per
-# set-field. Kept verbatim as the differential-testing oracle
-# (tests/openflow/test_rewrite_fused.py) and the allocation benchmark
-# baseline (repro.bench packet_rewrite).
-# --------------------------------------------------------------------------
-
-
-def _rewrite_reference(frame: EthernetFrame, field: str, value: Any) -> EthernetFrame:
-    if field == "eth_src":
-        return dataclasses.replace(frame, src=value)
-    if field == "eth_dst":
-        return dataclasses.replace(frame, dst=value)
-
-    packet = frame.ipv4
-    if packet is None:
-        # Set-field on a non-IP frame: no-op (matches OF behaviour where the
-        # prerequisite fields are absent).
-        return frame
-
-    if field == "ipv4_src":
-        return dataclasses.replace(frame, payload=dataclasses.replace(packet, src=value))
-    if field == "ipv4_dst":
-        return dataclasses.replace(frame, payload=dataclasses.replace(packet, dst=value))
-
-    l4 = packet.payload
-    if field in ("tcp_src", "tcp_dst") and isinstance(l4, TCPSegment):
-        kwargs = {"src_port": value} if field == "tcp_src" else {"dst_port": value}
-        new_l4 = dataclasses.replace(l4, **kwargs)
-    elif field in ("udp_src", "udp_dst") and isinstance(l4, UDPDatagram):
-        kwargs = {"src_port": value} if field == "udp_src" else {"dst_port": value}
-        new_l4 = dataclasses.replace(l4, **kwargs)
-    else:
-        return frame
-    return dataclasses.replace(frame, payload=dataclasses.replace(packet, payload=new_l4))
-
-
-def apply_actions_multi_reference(
-    frame: EthernetFrame, actions: Sequence[Action]
-) -> List[Tuple[EthernetFrame, int]]:
-    """The pre-fusing ``apply_actions_multi``: sequential per-field rewrites."""
-    outputs: List[Tuple[EthernetFrame, int]] = []
-    current = frame
-    for action in actions:
-        if isinstance(action, SetFieldAction):
-            current = _rewrite_reference(current, action.field, action.value)
-        elif isinstance(action, OutputAction):
             outputs.append((current, action.port))
         else:  # pragma: no cover
             raise TypeError(f"unsupported action {action!r}")

@@ -5,24 +5,19 @@ Three layers under test:
 * :class:`repro.core.revalidation.RevalidatingCache` — the generic per-key
   revalidation memo, in isolation;
 * the controller's service memo + plan epoch — unrelated churn (registry,
-  FlowMemory, other clusters) must leave memoized plans warm, where the
-  coarse discipline (``fine_grained_revalidation=False``, the differential
-  oracle) colds everything;
+  FlowMemory, other clusters) must leave memoized plans warm;
 * the FlowMemory idle-expiry regression: one client's flow idling out used
   to bump the global generation and invalidate *every* memoized install
   plan — with per-key versions only that client's plan re-misses.
 
-And one invisibility differential mirroring test_controller_memoization:
-fine vs coarse must be byte-identical from the outside.
+That the memo is invisible from the outside is proven differentially
+against the uncached controller in test_controller_memoization.
 """
-
-import random
 
 import pytest
 
 from repro.core.revalidation import RevalidatingCache
 from repro.experiments import build_testbed
-from repro.simcore import TraceLog
 
 
 # ------------------------------------------------------- RevalidatingCache
@@ -87,16 +82,14 @@ class TestRevalidatingCache:
 # ------------------------------------------------- controller-level behaviour
 
 
-def make_tb(fine, seed=3, **kwargs):
-    tb = build_testbed(seed=seed, n_clients=4, cluster_types=("docker",),
-                       **kwargs)
-    tb.controller.cfg.fine_grained_revalidation = fine
-    return tb
+def make_tb(seed=3, **kwargs):
+    return build_testbed(seed=seed, n_clients=4, cluster_types=("docker",),
+                         **kwargs)
 
 
 class TestServiceMemoUnderChurn:
     def test_unrelated_registry_churn_keeps_service_memo_warm(self):
-        tb = make_tb(fine=True)
+        tb = make_tb()
         svc = tb.register_catalog_service("nginx")
         tb.client(0).fetch(svc.service_id.addr, svc.service_id.port)
         tb.run()
@@ -112,7 +105,7 @@ class TestServiceMemoUnderChurn:
         assert after["hits"] > before["hits"]
 
     def test_relevant_deregister_invalidates_the_memo_entry(self):
-        tb = make_tb(fine=True)
+        tb = make_tb()
         svc = tb.register_catalog_service("nginx")
         tb.client(0).fetch(svc.service_id.addr, svc.service_id.port)
         tb.run()
@@ -125,13 +118,13 @@ class TestServiceMemoUnderChurn:
 class TestIdleExpiryRegression:
     """One client's FlowMemory expiry must not cold every other plan.
 
-    This was the headline coarse-mode pathology: ``FlowMemory`` bumps its
-    global generation on *every* mutation — including the idle expiry of a
-    single (client, service) flow — and the plan epoch pinned that global,
-    so any expiry anywhere invalidated all memoized install plans.
+    ``FlowMemory`` bumps its global generation on *every* mutation —
+    including the idle expiry of a single (client, service) flow. A plan
+    epoch pinned on that global would let any expiry anywhere invalidate
+    all memoized install plans; the per-key epoch must not.
     """
 
-    def _expiry_scenario(self, fine):
+    def _expiry_scenario(self):
         # Switch flows idle out fast; FlowMemory holds longer. After a
         # cold-deploy warm-up, client 0 re-misses repeatedly — each refetch
         # lands after the switch flow expired but inside the memory
@@ -139,8 +132,7 @@ class TestIdleExpiryRegression:
         # the memoized install plan. Client 1 fetches once and goes quiet:
         # its memory entry idles out between client 0's re-misses at
         # +1.9 and +2.8.
-        tb = make_tb(fine=fine, switch_idle_timeout_s=0.4,
-                     memory_idle_timeout_s=2.0)
+        tb = make_tb(switch_idle_timeout_s=0.4, memory_idle_timeout_s=2.0)
         svc = tb.register_catalog_service("nginx")
         addr, port = svc.service_id.addr, svc.service_id.port
         tb.client(0).fetch(addr, port)
@@ -157,73 +149,13 @@ class TestIdleExpiryRegression:
     def test_fine_mode_keeps_plan_warm_across_foreign_expiry(self):
         # +1.0 (client 1's remember is foreign churn), +1.9 (quiet), and
         # +2.8 (client 1's expiry is foreign churn) all reuse the plan.
-        stats = self._expiry_scenario(fine=True)
+        stats = self._expiry_scenario()
         assert stats["slow_path_plan_hits"] == 3
 
-    def test_coarse_oracle_documents_the_old_cost(self):
-        """The regression this PR fixes, pinned as the oracle's behaviour:
-        under the same schedule the coarse epoch sees the foreign
-        remember/expiry churn and re-misses on all but the quiet window."""
-        fine = self._expiry_scenario(fine=True)
-        coarse = self._expiry_scenario(fine=False)
-        assert coarse["slow_path_plan_hits"] == 1
-        assert coarse["slow_path_plan_hits"] < fine["slow_path_plan_hits"]
-
-
-# ------------------------------------------------------ invisibility differential
-
-
-def _run_scenario(fine: bool, seed: int):
-    """Mirrors test_controller_memoization: same randomized run, fine vs
-    coarse revalidation, everything observable captured."""
-    trace = TraceLog(enabled=True)
-    tb = build_testbed(seed=seed, n_clients=4, cluster_types=("docker",),
-                       switch_idle_timeout_s=0.8, memory_idle_timeout_s=2.5,
-                       trace=trace)
-    tb.controller.cfg.fine_grained_revalidation = fine
-    svc = tb.register_catalog_service("nginx")
-
-    rng = random.Random(seed * 6271 + 5)
-    t = 0.05
-    for _ in range(24):
-        client = rng.randrange(4)
-        when = t
-
-        def start(index=client, at=when):
-            tb.client(index).fetch(svc.service_id.addr, svc.service_id.port)
-
-        tb.sim.schedule_at(when, start)
-        t += rng.choice((0.005, 0.05, 0.4, 1.0, 3.1))
-    tb.run(until=t + 30.0)
-    tb.run()
-
-    stats = dict(tb.controller.stats)
-    memo_stats = {k: stats.pop(k, 0)
-                  for k in ("slow_path_plan_hits", "slow_path_plan_misses")}
-    return {
-        "trace": [str(record) for record in trace.records],
-        "flows": [(str(e.match), e.priority, e.cookie)
-                  for e in tb.switch.table.entries],
-        "stats": stats,
-        "memo_stats": memo_stats,
-        "packet_ins": tb.switch.packet_ins,
-        "tx_frames": tb.switch.tx_frames,
-    }
-
-
-class TestFineCoarseInvisibility:
-    @pytest.mark.parametrize("seed", [11, 29])
-    def test_differential_fine_vs_coarse(self, seed):
-        fine = _run_scenario(fine=True, seed=seed)
-        coarse = _run_scenario(fine=False, seed=seed)
-        assert fine["trace"] == coarse["trace"]
-        assert fine["flows"] == coarse["flows"]
-        assert fine["stats"] == coarse["stats"]
-        assert fine["packet_ins"] == coarse["packet_ins"]
-        assert fine["tx_frames"] == coarse["tx_frames"]
-
-    def test_fine_mode_hits_at_least_as_often(self):
-        fine = _run_scenario(fine=True, seed=11)
-        coarse = _run_scenario(fine=False, seed=11)
-        assert fine["memo_stats"]["slow_path_plan_hits"] >= \
-            coarse["memo_stats"]["slow_path_plan_hits"]
+    def test_fine_mode_plan_misses_pinned(self):
+        """Every FlowMemory-answered re-miss reuses its plan and only fresh
+        dispatches build one. A global epoch would see the foreign
+        remember/expiry churn and re-miss on all but the quiet window."""
+        stats = self._expiry_scenario()
+        assert stats["service_hits_memory"] == stats["slow_path_plan_hits"] == 3
+        assert stats["service_dispatches"] == stats["slow_path_plan_misses"] == 3

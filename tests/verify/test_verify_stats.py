@@ -61,17 +61,18 @@ class TestSwitchStats:
         stats = tb.switch.stats()
         assert stats["shadowed_rules"] == 0
         assert stats["table_generation"] == tb.switch.table.generation
-        assert stats["microflow_generation"] == tb.switch._microflow_generation
         assert stats["microflow_entries"] == len(tb.switch._microflow)
         assert stats["microflow_entries"] > 0  # traffic warmed the cache
 
     def test_stale_cache_entry_is_flagged_v5(self):
-        """Plant a cached answer the table no longer gives — the
-        snapshot-time audit must flag it.
+        """Plant cached answers the table no longer gives — the
+        snapshot-time audit must flag each of them.
 
         Surgical eviction removes the cached microflow the instant its
         rule is deleted, so to model the corruption (a buggy eviction that
         missed the key) the stale answer is re-planted after the delete.
+        The second plant is a stale *negative* entry: a cached drop for a
+        packet a live rule answers.
         """
         tb, _svc = make_parta_testbed(rounds=2)
         switch = tb.switch
@@ -79,14 +80,19 @@ class TestSwitchStats:
                   if entry is not None]
         assert cached
         key, entry = cached[0]
+        live = [other for other, winner in cached if winner is not entry]
+        assert live
         switch.table.delete(entry.match, strict=True, priority=entry.priority)
         switch._microflow[key] = entry  # simulate an eviction bug
+        switch._microflow[live[0]] = None  # ...and a missed install eviction
         snapshot = snapshot_testbed(tb)
         view = snapshot.switch(switch.dpid)
-        assert view.stale_cache
+        assert len(view.stale_cache) == 2
+        assert sum(stale.endswith("->drop") for stale in view.stale_cache) == 1
         report = verify_snapshot(snapshot, invariants=(V5_SHADOWING,))
-        assert any(v.invariant == V5_SHADOWING and "cache[" in v.subject
-                   for v in report.violations), report.to_text()
+        flagged = [v for v in report.violations
+                   if v.invariant == V5_SHADOWING and "cache[" in v.subject]
+        assert len(flagged) == 2, report.to_text()
 
     def test_stale_cache_clean_after_surgical_delete(self):
         """The surgical hook itself must leave no staleness behind."""
