@@ -20,7 +20,6 @@ result.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import platform
@@ -576,8 +575,7 @@ def _synthetic_snapshot(rules: int, switches: int = 4) -> Any:
                                        cookie=0, flags=0,
                                        actions=(OutputAction(1),)))
         switch_views.append(SwitchView(
-            dpid=dpid, name=f"s{dpid}", generation=per_switch,
-            rules=tuple(rule_views),
+            dpid=dpid, name=f"s{dpid}", rules=tuple(rule_views),
             stale_cache=()))
         hosts.append(HostView(ip=IPv4(f"192.168.{dpid}.1"), dpid=dpid,
                               port_no=1, mac=MAC(f"02:00:00:00:{dpid:02x}:01")))
@@ -590,71 +588,29 @@ def _synthetic_snapshot(rules: int, switches: int = 4) -> Any:
                            hosts=tuple(hosts), control=control)
 
 
-def _touch_one_switch(snapshot: Any) -> Any:
-    """A copy of ``snapshot`` with one switch's table mutated (one extra
-    rule, generation bumped) — the incremental checker's common case."""
-    from repro.openflow.actions import OutputAction
-    from repro.openflow.match import Match
-    from repro.verify.snapshot import RuleView
-
-    view = snapshot.switches[0]
-    extra = RuleView(
-        match=Match(eth_type=0x0800, ip_proto=6, ipv4_src="10.250.0.1",
-                    ipv4_dst="172.250.0.1", tcp_dst=80),
-        priority=100, seq=len(view.rules) + 2, cookie=0, flags=0,
-        actions=(OutputAction(1),))
-    touched = dataclasses.replace(
-        view, rules=view.rules + (extra,), generation=view.generation + 1)
-    return dataclasses.replace(
-        snapshot, switches=(touched,) + snapshot.switches[1:])
-
-
 def bench_verify(sizes: Tuple[int, ...] = (1_000, 10_000, 100_000),
                  switches: int = 4) -> Dict[str, Any]:
-    """Full vs incremental data-plane verification cost vs table size.
+    """Full data-plane verification cost vs table size.
 
-    For each size: one cold full check, one incremental re-check of the
-    unchanged snapshot (pure cache-hit path), and one incremental check
-    after a single-switch table mutation (the steady-state case — only the
-    touched switch's classes re-trace). docs/verification.md describes the
-    cache model; ``tests/verify`` proves incremental output is
-    byte-identical to the full checker's.
+    For each size: one cold :func:`~repro.verify.verify_snapshot` over a
+    synthetic snapshot (docs/verification.md describes the checker).
     """
-    from repro.verify import IncrementalVerifier, verify_snapshot
+    from repro.verify import verify_snapshot
 
     out: Dict[str, Any] = {"switches": switches, "sizes": {}}
     for size in sizes:
         snapshot = _synthetic_snapshot(size, switches)
         started = _now()
-        full_report = verify_snapshot(snapshot)
+        report = verify_snapshot(snapshot)
         full_s = _now() - started
 
-        verifier = IncrementalVerifier()
-        verifier.verify(snapshot)  # populate caches (timed run is next)
-        started = _now()
-        unchanged_report = verifier.verify(snapshot)
-        unchanged_s = _now() - started
-
-        touched = _touch_one_switch(snapshot)
-        started = _now()
-        touched_report = verifier.verify(touched)
-        touched_s = _now() - started
-
-        classes = full_report.classes_checked
+        classes = report.classes_checked
         out["sizes"][str(size)] = {
-            "rules": full_report.rules_checked,
+            "rules": report.rules_checked,
             "classes": classes,
-            "violations": len(full_report.violations)
-                          + len(unchanged_report.violations)
-                          + len(touched_report.violations),
+            "violations": len(report.violations),
             "full_ms": round(full_s * 1e3, 2),
-            "incremental_unchanged_ms": round(unchanged_s * 1e3, 2),
-            "incremental_touched_ms": round(touched_s * 1e3, 2),
             "us_per_class_full": round(full_s / classes * 1e6, 3),
-            "classes_reused_touched": verifier.classes_reused,
-            "classes_traced_touched": verifier.classes_traced,
-            "speedup_unchanged": round(full_s / unchanged_s, 1)
-                                 if unchanged_s > 0 else float("inf"),
         }
     return out
 

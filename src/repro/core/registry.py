@@ -18,9 +18,8 @@ O(address bits) per decision) rather than a flat set:
   prefix, the LPM winner takes precedence.
 
 Churn contract: :attr:`ServiceRegistry.generation` bumps on **every**
-register/deregister.  Memoized consumers (the controller's slow-path caches,
-``repro.verify`` incremental snapshots) must revalidate against it — see
-docs/registry.md.  :meth:`ServiceRegistry.generation_of` refines the global
+register/deregister.  Memoized consumers (the controller's slow-path
+caches) must revalidate against it — see docs/registry.md.  :meth:`ServiceRegistry.generation_of` refines the global
 counter into a *per-key* revalidation token, so a memo entry for one
 service identity survives churn on every other one (docs/performance.md,
 "Revalidation").

@@ -27,8 +27,7 @@ mypy-strict.
 Determinism: iteration yields prefixes in ascending ``(network, prefix_len)``
 order — no hash-order anywhere — and :attr:`PrefixTrie.generation` bumps on
 every successful mutation so memoizing callers (the controller's slow-path
-caches, the incremental verifier) can detect churn without subscribing to
-individual updates.
+caches) can detect churn without subscribing to individual updates.
 """
 
 from __future__ import annotations

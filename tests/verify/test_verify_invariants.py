@@ -72,6 +72,19 @@ class TestPlantedViolations:
         others = tuple(i for i in ALL_INVARIANTS if i != expected)
         assert verify_snapshot(mutated, invariants=others).ok
         assert not verify_snapshot(mutated, invariants=(expected,)).ok
+        scoped = verify_snapshot(mutated, invariants=("V2", "V1"))
+        assert scoped.invariants == ("V1", "V2")
+
+    def test_relaxed_cookies_tolerate_booked_cookie_without_flow(
+            self, healthy_snapshot):
+        """A booked cookie no switch carries is V4 only in strict mode;
+        the relaxed mode (the sanitizer's post-resync hook) lets it pass."""
+        mutate = {n: m for n, m, _e in PLANTED}["stale-cookie"]
+        mutated = mutate(healthy_snapshot)
+        strict = verify_snapshot(mutated, strict_cookies=True)
+        assert {v.invariant for v in strict.violations} == {"V4"}
+        relaxed = verify_snapshot(mutated, strict_cookies=False)
+        assert relaxed.ok, relaxed.to_text()
 
 
 class TestReport:
