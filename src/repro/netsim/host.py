@@ -40,6 +40,7 @@ from repro.netsim.packet import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.link import Link
     from repro.simcore import Signal, Simulator
 
 
@@ -80,6 +81,12 @@ EPHEMERAL_PORT_START = 40000
 #: ARP request retransmission interval and budget.
 ARP_RETRY_INTERVAL = 1.0
 ARP_MAX_RETRIES = 60
+
+# Flag combinations the stack sends, built once instead of per segment.
+_ACK_PSH = TCPFlags.ACK | TCPFlags.PSH
+_FIN_ACK = TCPFlags.FIN | TCPFlags.ACK
+_SYN_ACK = TCPFlags.SYN | TCPFlags.ACK
+_RST_ACK = TCPFlags.RST | TCPFlags.ACK
 
 
 class Connection:
@@ -180,7 +187,7 @@ class Connection:
             remaining -= chunk
             last = remaining == 0
             self._emit(
-                TCPFlags.ACK | (TCPFlags.PSH if last else TCPFlags.NONE),
+                _ACK_PSH if last else TCPFlags.ACK,
                 payload=message if last else None,
                 payload_bytes=chunk,
                 last_fragment=last,
@@ -207,10 +214,10 @@ class Connection:
         """Initiate FIN teardown (idempotent)."""
         if self.state is TCPState.ESTABLISHED:
             self.state = TCPState.FIN_WAIT
-            self._emit(TCPFlags.FIN | TCPFlags.ACK)
+            self._emit(_FIN_ACK)
         elif self.state is TCPState.CLOSE_WAIT:
             self._finish_close()
-            self._emit(TCPFlags.FIN | TCPFlags.ACK)
+            self._emit(_FIN_ACK)
 
     def abort(self) -> None:
         """Send RST and drop state immediately (used by port probes)."""
@@ -249,7 +256,7 @@ class Connection:
                 # duplicate SYN (client retransmitted while our SYN-ACK was
                 # in flight or the controller replayed the buffered packet):
                 # re-send the SYN-ACK, as a real stack would.
-                self._emit(TCPFlags.SYN | TCPFlags.ACK)
+                self._emit(_SYN_ACK)
                 return
             if seg.has(TCPFlags.ACK):
                 self.state = TCPState.ESTABLISHED
@@ -363,16 +370,22 @@ class Host(Device):
             "arp_requests": 0,
             "dropped_not_mine": 0,
         }
+        #: lowest wired port, kept by :meth:`attach_link`; None until wired
+        self._uplink_port: Optional[int] = None
 
     # --------------------------------------------------------------- wiring
+
+    def attach_link(self, port_no: int, link: "Link") -> None:
+        super().attach_link(port_no, link)
+        self._uplink_port = min(self.links)
 
     @property
     def uplink_port(self) -> int:
         """The single NIC's port number (hosts are single-homed)."""
-        ports = self.port_numbers
-        if not ports:
+        port = self._uplink_port
+        if port is None:
             raise NetworkStateError(f"{self.name}: no link attached")
-        return ports[0]
+        return port
 
     # ------------------------------------------------------------ listeners
 
@@ -451,10 +464,7 @@ class Host(Device):
 
     def _tx_ip(self, dst_mac: MAC, packet: IPv4Packet) -> None:
         Host._frame_counter += 1
-        frame = EthernetFrame(
-            src=self.mac, dst=dst_mac, ethertype=ETH_TYPE_IP,
-            payload=packet, frame_id=Host._frame_counter,
-        )
+        frame = EthernetFrame(self.mac, dst_mac, ETH_TYPE_IP, packet, Host._frame_counter)
         self.transmit(self.uplink_port, frame)
 
     def send_udp(self, dst: IPv4, dst_port: int, payload: Any, size_bytes: int = 0,
@@ -512,17 +522,17 @@ class Host(Device):
     # ------------------------------------------------------------------ rx
 
     def on_frame(self, port_no: int, frame: EthernetFrame) -> None:
-        if frame.dst != self.mac and not frame.dst.is_broadcast:
+        # Addresses are interned, so identity is equality.
+        if frame.dst is not self.mac and not frame.dst.is_broadcast:
             self.stats["dropped_not_mine"] += 1
             return
-        arp = frame.arp
-        if arp is not None:
-            self._on_arp(arp)
+        packet = frame.payload
+        if isinstance(packet, ArpPacket):
+            self._on_arp(packet)
             return
-        packet = frame.ipv4
-        if packet is None:
+        if not isinstance(packet, IPv4Packet):
             return
-        if packet.dst != self.ip:
+        if packet.dst is not self.ip:
             self.stats["dropped_not_mine"] += 1
             return
         if packet.proto == IP_PROTO_TCP:
@@ -546,12 +556,12 @@ class Host(Device):
                 conn.state = TCPState.SYN_RCVD
                 self._connections[key] = conn
                 accept(conn)
-                conn._emit(TCPFlags.SYN | TCPFlags.ACK)
+                conn._emit(_SYN_ACK)
                 return
             # Closed port: refuse.
             self.stats["rst_sent"] += 1
             rst = TCPSegment(src_port=seg.dst_port, dst_port=seg.src_port,
-                             flags=TCPFlags.RST | TCPFlags.ACK)
+                             flags=_RST_ACK)
             self.send_ip(src_ip, IP_PROTO_TCP, rst)
             return
         if not seg.has(TCPFlags.RST):

@@ -15,7 +15,10 @@ instead of a full ``replace()`` reconstruction per field.
 Application payloads are Python objects carried by value with an explicit
 byte size; the size (plus per-layer header overhead) drives link
 serialization delay, which is what makes e.g. the 83 KiB ResNet POST body
-slower than a 62-byte GET.
+slower than a 62-byte GET. An :class:`EthernetFrame` sums its layers once,
+at construction, and carries the result: every link hop and flow-counter
+update reads :attr:`EthernetFrame.wire_bytes` without walking the layers
+again, and a header rewrite copies the carried size unchanged.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ TCP_MSS = 1460
 
 _new = object.__new__
 _set = object.__setattr__
+_int_and = int.__and__
 
 
 class TCPFlags(enum.IntFlag):
@@ -118,7 +122,9 @@ class TCPSegment:
         return TCP_HEADER_BYTES + self.payload_bytes
 
     def has(self, flag: TCPFlags) -> bool:
-        return bool(self.flags & flag)
+        # Plain int arithmetic: ``TCPFlags.__and__`` would build a new enum
+        # member on every test.
+        return _int_and(self.flags, flag) != 0
 
     def rewrite(self, src_port: Optional[int] = None,
                 dst_port: Optional[int] = None) -> "TCPSegment":
@@ -220,10 +226,16 @@ class EthernetFrame:
     #: Monotonic id assigned by the sender's stack; used for tracing and for
     #: OpenFlow packet buffering (buffer_id derivation).
     frame_id: int = field(default=0, compare=False)
+    #: On-wire size, summed over the layers once at construction; read it
+    #: through :attr:`wire_bytes`.
+    _wire_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _set(self, "_wire_bytes", ETH_HEADER_BYTES + self.payload.wire_bytes)
 
     @property
     def wire_bytes(self) -> int:
-        return ETH_HEADER_BYTES + self.payload.wire_bytes
+        return self._wire_bytes
 
     def rewrite(self, src: Optional[MAC] = None, dst: Optional[MAC] = None,
                 payload: Optional[Union[ArpPacket, IPv4Packet]] = None,
@@ -231,7 +243,9 @@ class EthernetFrame:
         """Copy with the given header field(s)/payload changed.
 
         ``frame_id`` is preserved — the rewritten frame is the *same* packet
-        in flight, not a newly transmitted one.
+        in flight, not a newly transmitted one. So is the carried wire size:
+        a header rewrite never changes it, so a replacement ``payload`` must
+        be a header rewrite of the current one.
         """
         new = _new(EthernetFrame)
         _set(new, "src", self.src if src is None else src)
@@ -239,6 +253,7 @@ class EthernetFrame:
         _set(new, "ethertype", self.ethertype)
         _set(new, "payload", self.payload if payload is None else payload)
         _set(new, "frame_id", self.frame_id)
+        _set(new, "_wire_bytes", self._wire_bytes)
         return new
 
     def rewrite_headers(self,

@@ -1,26 +1,29 @@
 """OpenFlow actions: output and set-field (the rewrite primitive).
 
-``apply_actions`` executes an action list against a frame, returning the
-(possibly rewritten) frame and the list of output ports — the switch then
+``apply_actions_multi`` executes actions against a frame, returning the
+(possibly rewritten) frame each output emits with its port — the switch then
 performs the actual transmissions. Set-field produces copies; frames are
 never mutated in place.
 
-Contiguous set-field actions are **fused**: pending field writes accumulate
-in a small dict and materialize as one multi-layer
-:meth:`~repro.netsim.packet.EthernetFrame.rewrite_headers` copy at each
-output boundary (apply-actions semantics: an output emits the frame as
-rewritten *so far*). A 4-field NAT rewrite then allocates one object per
-mutated layer instead of one full ``dataclasses.replace`` chain per field.
+Contiguous set-field actions are **fused**: :func:`compile_actions` folds
+the field writes before each output into one dict, once per action list,
+and execution materializes each as one multi-layer
+:meth:`~repro.netsim.packet.EthernetFrame.rewrite_headers` copy at its
+output (apply-actions semantics: an output emits the frame as rewritten
+*so far*). A flow entry compiles its list when it is built, so per-frame
+execution only walks the compiled steps. A 4-field NAT rewrite allocates
+one object per mutated layer instead of one full ``dataclasses.replace``
+chain per field.
 The per-layer reference is ``test_fused_equals_layerwise`` in
 ``tests/property/test_interning_and_rewrite.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.netsim.addresses import MAC, IPv4
-from repro.netsim.packet import EthernetFrame, TCPSegment, UDPDatagram
+from repro.netsim.packet import EthernetFrame, IPv4Packet, TCPSegment, UDPDatagram
 from repro.openflow.constants import REWRITABLE_FIELDS
 
 
@@ -78,9 +81,9 @@ class SetFieldAction(Action):
         return f"SetField({self.field}={self.value})"
 
 
-def _rewrite(frame: EthernetFrame, field: str, value: Any) -> EthernetFrame:
-    """Single-field rewrite through the lean per-layer copy helpers."""
-    return _apply_fields(frame, {field: value})
+#: one compiled step: the set-fields pending at an output (None when there
+#: are none) and the output's port
+Step = Tuple[Optional[Dict[str, Any]], int]
 
 
 def _apply_fields(frame: EthernetFrame, pending: Dict[str, Any]) -> EthernetFrame:
@@ -96,8 +99,8 @@ def _apply_fields(frame: EthernetFrame, pending: Dict[str, Any]) -> EthernetFram
     ipv4_dst: Optional[IPv4] = None
     l4_src: Optional[int] = None
     l4_dst: Optional[int] = None
-    packet = frame.ipv4
-    if packet is not None:
+    packet = frame.payload
+    if isinstance(packet, IPv4Packet):
         ipv4_src = pending.get("ipv4_src")
         ipv4_dst = pending.get("ipv4_dst")
         l4 = packet.payload
@@ -112,59 +115,68 @@ def _apply_fields(frame: EthernetFrame, pending: Dict[str, Any]) -> EthernetFram
                                  l4_src=l4_src, l4_dst=l4_dst)
 
 
-def apply_actions(
-    frame: EthernetFrame, actions: Sequence[Action]
-) -> Tuple[EthernetFrame, List[int]]:
-    """Run an action list; return the final frame and output port list.
+class ActionProgram(tuple[Step, ...]):
+    """An action list compiled once for per-frame execution.
 
-    OpenFlow apply-actions semantics: actions execute in order, so a
-    set-field *after* an output does not affect that output. We return the
-    frame state at each output; for simplicity all outputs receive the frame
-    as rewritten up to that output action — achieved by snapshotting.
+    One ``(pending set-fields | None, port)`` step per output action, in
+    order: the set-fields between the previous output and this one, fused
+    into one dict (last write per field wins), or ``None`` when there are
+    none. Set-fields after the last output reach no output and are
+    dropped. The dicts are shared by every execution and never mutated.
     """
-    outputs: List[Tuple[EthernetFrame, int]] = []
-    current = frame
+
+    __slots__ = ()
+
+
+def compile_actions(actions: Sequence[Action]) -> ActionProgram:
+    """Compile an action list into an :class:`ActionProgram`."""
+    steps: List[Step] = []
     pending: Dict[str, Any] = {}
     for action in actions:
         if isinstance(action, SetFieldAction):
             pending[action.field] = action.value
         elif isinstance(action, OutputAction):
-            if pending:
-                current = _apply_fields(current, pending)
-                pending = {}
-            outputs.append((current, action.port))
+            steps.append((pending or None, action.port))
+            pending = {}
         else:  # pragma: no cover - future action types
             raise TypeError(f"unsupported action {action!r}")
-    if not outputs:
-        # No output: return the frame with every rewrite applied (matching
-        # the sequential reference semantics).
-        if pending:
-            current = _apply_fields(current, pending)
-        return current, []
-    # The common case is a single output; return that frame and port list.
-    # Multiple outputs with interleaved rewrites are handled by the switch
-    # calling apply_actions_multi instead. Trailing set-fields after the
-    # last output never reached an output and are discarded, exactly like
-    # the reference implementation's return value.
-    return outputs[-1][0], [port for _, port in outputs]
+    return ActionProgram(steps)
 
 
 def apply_actions_multi(
-    frame: EthernetFrame, actions: Sequence[Action]
+    frame: EthernetFrame, actions: Union[ActionProgram, Sequence[Action]]
 ) -> List[Tuple[EthernetFrame, int]]:
-    """Like :func:`apply_actions` but yields the exact (frame, port) pairs,
-    preserving per-output rewrite state."""
+    """Run an action program (or an action list, compiled on the spot) and
+    return the exact ``(frame, port)`` pair each output emits.
+
+    OpenFlow apply-actions semantics: actions execute in order, so each
+    output emits the frame as rewritten up to that output, and a set-field
+    after an output does not affect it. This is the one copy of the
+    execution loop: the switch runs each flow entry's precompiled program
+    and each ``PacketOut``'s action list through it.
+    """
+    program = actions if isinstance(actions, ActionProgram) else compile_actions(actions)
     outputs: List[Tuple[EthernetFrame, int]] = []
     current = frame
-    pending: Dict[str, Any] = {}
-    for action in actions:
-        if isinstance(action, SetFieldAction):
-            pending[action.field] = action.value
-        elif isinstance(action, OutputAction):
-            if pending:
-                current = _apply_fields(current, pending)
-                pending = {}
-            outputs.append((current, action.port))
-        else:  # pragma: no cover
-            raise TypeError(f"unsupported action {action!r}")
+    for pending, port in program:
+        if pending is not None:
+            current = _apply_fields(current, pending)
+        outputs.append((current, port))
     return outputs
+
+
+def apply_actions(
+    frame: EthernetFrame, actions: Sequence[Action]
+) -> Tuple[EthernetFrame, List[int]]:
+    """Run an action list; return the last output's frame and every output
+    port.
+
+    Set-fields after the last output reach no output and are discarded. A
+    list with no outputs returns the frame with every rewrite applied.
+    """
+    outputs = apply_actions_multi(frame, actions)
+    if outputs:
+        return outputs[-1][0], [port for _, port in outputs]
+    pending = {action.field: action.value for action in actions
+               if isinstance(action, SetFieldAction)}
+    return (_apply_fields(frame, pending) if pending else frame), []

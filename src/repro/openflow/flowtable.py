@@ -32,11 +32,11 @@ import bisect
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.perf import PERF
+from repro.openflow.actions import Action, compile_actions
 from repro.openflow.constants import OFPFF_SEND_FLOW_REM, OFPRR_DELETE, OFPRR_HARD_TIMEOUT, OFPRR_IDLE_TIMEOUT
 from repro.openflow.match import FieldDict, Match
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.openflow.actions import Action
     from repro.simcore import Simulator
 
 #: bucket key: the entry's cached exact (ipv4_src, ipv4_dst), None = wildcard
@@ -47,7 +47,7 @@ class FlowEntry:
     """One installed flow rule."""
 
     __slots__ = (
-        "match", "priority", "actions", "idle_timeout", "hard_timeout",
+        "match", "priority", "actions", "program", "idle_timeout", "hard_timeout",
         "cookie", "flags", "installed_at", "last_used", "packet_count",
         "byte_count", "_idle_timer", "_hard_timer", "removed",
         "_fast_dst", "_fast_src", "seq", "_sim",
@@ -57,7 +57,7 @@ class FlowEntry:
         self,
         match: Match,
         priority: int,
-        actions: List["Action"],
+        actions: List[Action],
         idle_timeout: float = 0.0,
         hard_timeout: float = 0.0,
         cookie: int = 0,
@@ -71,6 +71,8 @@ class FlowEntry:
         self._fast_src = match.exact_value("ipv4_src")
         self.priority = priority
         self.actions = list(actions)
+        #: the action list compiled once for per-frame execution
+        self.program = compile_actions(self.actions)
         self.idle_timeout = idle_timeout
         self.hard_timeout = hard_timeout
         self.cookie = cookie

@@ -312,12 +312,12 @@ class OpenFlowSwitch(Device):
                     del self._mf_by_entry[entry]
 
     def _execute(self, entry: FlowEntry, frame: EthernetFrame, in_port: int, fields: FieldDict) -> None:
-        outputs = apply_actions_multi(frame, entry.actions)
+        outputs = apply_actions_multi(frame, entry.program)
         if not outputs:
             self.packets_dropped += 1  # empty action list == drop
             return
         for out_frame, port in outputs:
-            self._output(out_frame, port, in_port, reason=OFPR_ACTION)
+            self._output(out_frame, port, in_port, OFPR_ACTION)
 
     def _output(self, frame: EthernetFrame, port: int, in_port: int, reason: int) -> None:
         if port == OFPP_CONTROLLER:

@@ -21,6 +21,9 @@ from repro.metrics.perf import PERF
 from repro.simcore.errors import DeadlockError, ScheduleInPastError, SimulatorReentryError
 from repro.simcore.trace import TraceLog
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 
 class EventHandle:
     """Handle for a scheduled callback; supports O(1) cancellation.
@@ -113,9 +116,11 @@ class Simulator:
         """
         if delay < 0:
             raise ScheduleInPastError(f"negative delay {delay!r}")
-        self._seq += 1
-        handle = EventHandle(self._now + delay, self._seq, callback, args, loop=self)
-        heapq.heappush(self._queue, (handle.time, handle.seq, handle))
+        seq = self._seq + 1
+        self._seq = seq
+        time = self._now + delay
+        handle = EventHandle(time, seq, callback, args, self)
+        _heappush(self._queue, (time, seq, handle))
         self._live += 1
         return handle
 
@@ -132,9 +137,11 @@ class Simulator:
     # ------------------------------------------------------------- execution
 
     def _pop_alive(self) -> Optional[EventHandle]:
+        # ``callback is None`` is :attr:`EventHandle.alive` negated
+        # (cancel() clears the callback) without the property call.
         while self._queue:
-            _, _, handle = heapq.heappop(self._queue)
-            if handle.alive:
+            _, _, handle = _heappop(self._queue)
+            if handle.callback is not None:
                 self._live -= 1  # about to execute
                 return handle
             # lazily dropped: cancelled entry
@@ -146,7 +153,7 @@ class Simulator:
             time, _, handle = self._queue[0]
             if handle.alive:
                 return time
-            heapq.heappop(self._queue)
+            _heappop(self._queue)
         return None
 
     def step(self) -> bool:
@@ -160,6 +167,7 @@ class Simulator:
         handle.callback = None
         handle.args = None
         self.events_executed += 1
+        PERF.events_executed += 1
         assert callback is not None
         callback(*(args or ()))
         return True
@@ -185,8 +193,8 @@ class Simulator:
         try:
             while queue:
                 head = queue[0][2]
-                if not head.alive:
-                    heapq.heappop(queue)  # lazily dropped: cancelled entry
+                if head.callback is None:
+                    _heappop(queue)  # lazily dropped: cancelled entry
                     continue
                 if until is not None and head.time > until:
                     break
@@ -199,8 +207,8 @@ class Simulator:
                 handle.callback = None
                 handle.args = None
                 self.events_executed += 1
-                assert callback is not None
-                callback(*(args or ()))
+                assert callback is not None and args is not None
+                callback(*args)
         finally:
             self._running = False
             PERF.events_executed += self.events_executed - executed_before

@@ -5,10 +5,12 @@ The tracer mirrors the production data path exactly:
 * rule selection replicates ``FlowTable.lookup`` — highest priority wins,
   FIFO (lowest install ``seq``) among equals, with the same
   (ipv4_src, ipv4_dst) bucket pruning so 100k-rule tables stay cheap;
-* action execution replicates ``apply_actions_multi`` — ``SetFieldAction``s
-  accumulate and each ``OutputAction`` emits the header *as rewritten so
-  far* (trailing set-fields are discarded), with layer checks (a tcp field
-  rewrite on a non-TCP header is a no-op, as on a real packet);
+* action execution follows the semantics of the switch's compiled action
+  programs (``compile_actions`` / ``apply_actions_multi``), walking the
+  action list directly — ``SetFieldAction``s accumulate and each
+  ``OutputAction`` emits the header *as rewritten so far* (trailing
+  set-fields are discarded), with layer checks (a tcp field rewrite on a
+  non-TCP header is a no-op, as on a real packet);
 * an emission whose port is an inter-switch link re-enters the peer's table
   with ``in_port`` set to the peer port.
 
@@ -113,8 +115,9 @@ def build_indices(snapshot: NetworkSnapshot) -> Dict[int, RuleIndex]:
 
 def _apply_symbolic(fields: Dict[str, Any], actions: Tuple[Any, ...],
                     ) -> List[Tuple[Dict[str, Any], int]]:
-    """Replicate ``apply_actions_multi`` on a field-dict: returns the
-    (rewritten-so-far header, out_port) emitted by each OutputAction."""
+    """Execute an action list on a field-dict with the semantics of
+    ``apply_actions_multi``: returns the (rewritten-so-far header, out_port)
+    emitted by each OutputAction."""
     emissions: List[Tuple[Dict[str, Any], int]] = []
     current = fields
     dirty = False

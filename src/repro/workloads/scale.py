@@ -67,8 +67,13 @@ BANK_MAC_BASE = 0x02BA00000000
 #: deployment under the default retry policy stays well inside it.
 CONVERSATION_TIMEOUT_S = 30.0
 
+# Flag combinations built once instead of per segment; flag tests use
+# plain int arithmetic rather than ``TCPFlags.__and__``.
 _SYN_ACK = TCPFlags.SYN | TCPFlags.ACK
+_ACK_PSH = TCPFlags.ACK | TCPFlags.PSH
+_FIN_ACK = TCPFlags.FIN | TCPFlags.ACK
 _FIN = TCPFlags.FIN
+_int_and = int.__and__
 
 
 class BankAlreadyStartedError(RuntimeError):
@@ -242,11 +247,11 @@ class ClientBank(Device):
             return
 
         if conv.state == _Conversation.SYN_SENT:
-            if seg.flags & _SYN_ACK == _SYN_ACK:
+            if _int_and(seg.flags, _SYN_ACK) == _SYN_ACK:
                 conv.state = _Conversation.AWAIT_RESPONSE
                 conv.t_connect = self.sim.now - conv.t0
                 self._emit(conv, TCPFlags.ACK)
-                self._emit(conv, TCPFlags.ACK | TCPFlags.PSH,
+                self._emit(conv, _ACK_PSH,
                            payload=self.request,
                            payload_bytes=self._request_bytes)
                 conv.snd_nxt += self._request_bytes
@@ -262,7 +267,7 @@ class ClientBank(Device):
                         time_total=self.sim.now - conv.t0,
                         status=getattr(seg.payload, "status", 200))
                     conv.state = _Conversation.CLOSING
-                    self._emit(conv, TCPFlags.FIN | TCPFlags.ACK)
+                    self._emit(conv, _FIN_ACK)
                     # Record *after* the FIN left: frame order then matches
                     # a real client, where close() follows the timing stop.
                     self._record_success(conv, timing)

@@ -1,6 +1,9 @@
 """Unit tests for the packet model: sizes, accessors, rendering."""
 
 import dataclasses
+import pickle
+
+import pytest
 
 from repro.netsim import (
     ETH_TYPE_ARP,
@@ -17,6 +20,9 @@ from repro.netsim import (
     ip,
     mac,
 )
+from repro.netsim.device import Device
+from repro.netsim.host import NetworkStateError
+from repro.netsim.link import Link
 from repro.netsim.packet import (
     ARP_BODY_BYTES,
     ETH_HEADER_BYTES,
@@ -27,6 +33,7 @@ from repro.netsim.packet import (
     ArpOp,
     ArpPacket,
 )
+from repro.netsim.topology import Network
 
 
 def tcp_frame(payload_bytes=100, flags=TCPFlags.ACK):
@@ -73,6 +80,64 @@ class TestWireSizes:
         assert TCP_MSS == 1460
 
 
+def udp_frame(payload_bytes=48):
+    dg = UDPDatagram(src_port=1, dst_port=53, payload_bytes=payload_bytes)
+    pkt = IPv4Packet(src=ip("1.1.1.1"), dst=ip("2.2.2.2"),
+                     proto=IP_PROTO_UDP, payload=dg)
+    return EthernetFrame(src=mac(1), dst=mac(2), ethertype=ETH_TYPE_IP,
+                         payload=pkt, frame_id=3)
+
+
+def arp_frame():
+    arp = ArpPacket(op=ArpOp.REQUEST, sender_mac=mac(1),
+                    sender_ip=ip("1.1.1.1"), target_mac=mac(0),
+                    target_ip=ip("1.1.1.2"))
+    return EthernetFrame(src=mac(1), dst=mac(2), ethertype=ETH_TYPE_ARP,
+                         payload=arp, frame_id=4)
+
+
+def layered_size(frame):
+    """The frame's size summed over its layers, as the links charge it."""
+    payload = frame.payload
+    if isinstance(payload, ArpPacket):
+        return ETH_HEADER_BYTES + ARP_BODY_BYTES
+    l4 = payload.payload
+    header = TCP_HEADER_BYTES if isinstance(l4, TCPSegment) else UDP_HEADER_BYTES
+    return ETH_HEADER_BYTES + IP_HEADER_BYTES + header + l4.payload_bytes
+
+
+@pytest.mark.parametrize("build", [lambda: tcp_frame(payload_bytes=1460),
+                                   udp_frame, arp_frame],
+                         ids=["tcp", "udp", "arp"])
+class TestCarriedWireSize:
+    """A frame sums its layers once, at construction, and every copy carries
+    the same size."""
+
+    def copies(self, frame):
+        yield "constructor", frame
+        yield "rewrite", frame.rewrite(src=mac(7), dst=mac(8))
+        yield "rewrite_headers", frame.rewrite_headers(
+            eth_dst=mac(9), ipv4_src=ip("10.9.9.9"), ipv4_dst=ip("10.8.8.8"),
+            l4_src=1111, l4_dst=2222)
+        yield "replace", dataclasses.replace(frame, frame_id=99)
+        yield "pickle", pickle.loads(pickle.dumps(frame))
+
+    def test_size_matches_layered_sum(self, build):
+        frame = build()
+        for how, copy in self.copies(frame):
+            assert copy.wire_bytes == layered_size(copy) == layered_size(frame), how
+
+    def test_equality_and_hash_ignore_the_carried_size(self, build):
+        frame = build()
+        twin = pickle.loads(pickle.dumps(frame))
+        assert twin == frame and hash(twin) == hash(frame)
+        assert hash(frame) == hash((frame.src, frame.dst, frame.ethertype, frame.payload))
+        # compare=False: a different carried size does not make frames unequal
+        object.__setattr__(twin, "_wire_bytes", frame.wire_bytes + 1)
+        assert twin == frame and hash(twin) == hash(frame)
+        assert "_wire_bytes" not in repr(frame)
+
+
 class TestAccessors:
     def test_layer_accessors_tcp(self):
         frame = tcp_frame()
@@ -88,6 +153,14 @@ class TestAccessors:
         assert seg.has(TCPFlags.SYN)
         assert seg.has(TCPFlags.ACK)
         assert not seg.has(TCPFlags.FIN)
+
+    def test_has_matches_enum_and_for_every_flag_value(self):
+        singles = [TCPFlags.FIN, TCPFlags.SYN, TCPFlags.RST, TCPFlags.PSH, TCPFlags.ACK]
+        for value in range(32):
+            flags = TCPFlags(sum(f for i, f in enumerate(singles) if value >> i & 1))
+            seg = TCPSegment(src_port=1, dst_port=2, flags=flags)
+            for flag in singles:
+                assert seg.has(flag) is bool(flags & flag), (flags, flag)
 
     def test_ttl_decrement_returns_copy(self):
         frame = tcp_frame()
@@ -129,3 +202,41 @@ class TestDescribe:
         frame = EthernetFrame(src=mac(1), dst=mac(2), ethertype=ETH_TYPE_ARP,
                               payload=reply)
         assert "is-at" in frame.describe()
+
+
+class _Sink(Device):
+    def on_frame(self, port_no, frame):
+        pass
+
+
+class TestUplinkPort:
+    def test_unwired_host_raises(self):
+        net = Network(seed=0)
+        host = net.add_host("h")
+        with pytest.raises(NetworkStateError):
+            host.uplink_port
+        host.arp_cache[ip("10.0.0.99")] = mac(5)
+        with pytest.raises(NetworkStateError):
+            host.send_udp(ip("10.0.0.99"), 53, None)
+
+    def test_cached_port_is_the_lowest_wired_port(self):
+        net = Network(seed=0)
+        host = net.add_host("h")
+        sink = _Sink(net.sim, "sw")
+        Link(net.sim, host, 3, sink, 0)
+        assert host.uplink_port == 3
+        Link(net.sim, host, 1, sink, 1)
+        assert host.uplink_port == 1 == host.port_numbers[0]
+
+    def test_frames_leave_through_the_cached_port(self):
+        net = Network(seed=0)
+        host = net.add_host("h")
+        sink = _Sink(net.sim, "sw")
+        seen = []
+        sink.on_frame = lambda port_no, frame: seen.append((port_no, frame.frame_id))
+        Link(net.sim, host, 2, sink, 7)
+        host.arp_cache[ip("10.0.0.99")] = mac(5)
+        host.send_udp(ip("10.0.0.99"), 53, None, size_bytes=10)
+        net.sim.run()
+        assert [port for port, _ in seen] == [7]
+        assert host.tx_frames == 1

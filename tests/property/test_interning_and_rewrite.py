@@ -8,7 +8,9 @@ Three families, all over randomized inputs:
 * ``rewrite()`` — structurally identical to rebuilding the object with
   ``dataclasses.replace``, while *sharing* every untouched sub-object;
 * the fused ``rewrite_headers`` used by the switch action pipeline —
-  equivalent to its layer-by-layer reference.
+  equivalent to its layer-by-layer reference;
+* compiled action programs — the same ``(frame, port)`` pairs as running
+  the action list one action at a time.
 """
 
 import dataclasses
@@ -17,7 +19,23 @@ import pickle
 from hypothesis import given, strategies as st
 
 from repro.netsim import ETH_TYPE_IP, EthernetFrame, IPv4, IPv4Packet, MAC, TCPSegment, ip, mac
-from repro.netsim.packet import IP_PROTO_TCP, TCPFlags
+from repro.netsim.packet import (
+    ETH_TYPE_ARP,
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
+    ArpOp,
+    ArpPacket,
+    TCPFlags,
+    UDPDatagram,
+)
+from repro.openflow.actions import (
+    OutputAction,
+    SetFieldAction,
+    _apply_fields,
+    apply_actions,
+    apply_actions_multi,
+    compile_actions,
+)
 
 ip_ints = st.integers(min_value=0, max_value=2**32 - 1)
 mac_ints = st.integers(min_value=0, max_value=2**48 - 1)
@@ -138,3 +156,80 @@ class TestRewriteRoundTrip:
         assert fused == want
         if not kwargs:
             assert fused is frame  # no-op returns self, zero allocations
+
+
+# ------------------------------------------------------- compiled programs
+
+FIELD_VALUES = {
+    "eth_src": st.sampled_from([0x02AA00000021, 0x02AA00000022]),
+    "eth_dst": st.sampled_from([0x02AA00000031, 0x02AA00000032]),
+    "ipv4_src": st.sampled_from(["203.0.113.1", "203.0.113.2"]),
+    "ipv4_dst": st.sampled_from(["203.0.113.11", "203.0.113.12"]),
+    "tcp_src": ports, "tcp_dst": ports, "udp_src": ports, "udp_dst": ports,
+}
+
+set_fields = st.sampled_from(sorted(FIELD_VALUES)).flatmap(
+    lambda name: FIELD_VALUES[name].map(lambda value: SetFieldAction(name, value)))
+outputs = st.integers(min_value=1, max_value=6).map(OutputAction)
+#: interleaved outputs, runs of set-fields (the same field written twice
+#: included) and lists ending in set-fields after the last output
+action_lists = st.lists(st.one_of(set_fields, outputs), max_size=10)
+
+
+def udp_frames():
+    return st.builds(
+        lambda isrc, idst, sport, dport, nbytes: EthernetFrame(
+            src=mac(1), dst=mac(2), ethertype=ETH_TYPE_IP,
+            payload=IPv4Packet(src=ip(isrc), dst=ip(idst), proto=IP_PROTO_UDP,
+                               payload=UDPDatagram(src_port=sport, dst_port=dport,
+                                                   payload_bytes=nbytes)),
+            frame_id=5),
+        ip_ints, ip_ints, ports, ports, st.integers(min_value=0, max_value=1472))
+
+
+def arp_frames():
+    return st.builds(
+        lambda sender, target: EthernetFrame(
+            src=mac(3), dst=mac(0xFFFFFFFFFFFF), ethertype=ETH_TYPE_ARP,
+            payload=ArpPacket(op=ArpOp.REQUEST, sender_mac=mac(3), sender_ip=ip(sender),
+                              target_mac=mac(0), target_ip=ip(target)),
+            frame_id=6),
+        ip_ints, ip_ints)
+
+
+def one_at_a_time(frame, actions):
+    """Reference semantics: apply every set-field as it comes, emit the
+    current frame at every output."""
+    emitted = []
+    for action in actions:
+        if isinstance(action, SetFieldAction):
+            frame = _apply_fields(frame, {action.field: action.value})
+        else:
+            emitted.append((frame, action.port))
+    return emitted, frame
+
+
+def same_pairs(got, want):
+    assert [port for _, port in got] == [port for _, port in want]
+    for (got_frame, _), (want_frame, _) in zip(got, want, strict=True):
+        assert got_frame == want_frame
+        assert got_frame.frame_id == want_frame.frame_id
+        assert got_frame.wire_bytes == want_frame.wire_bytes
+
+
+class TestCompiledPrograms:
+    @given(st.one_of(frames(), udp_frames(), arp_frames()), action_lists)
+    def test_program_matches_action_list(self, frame, actions):
+        program = compile_actions(actions)
+        want, fully_rewritten = one_at_a_time(frame, actions)
+        same_pairs(apply_actions_multi(frame, program), want)
+        same_pairs(apply_actions_multi(frame, actions), want)
+        # the program is reusable: a second run gives the same pairs
+        same_pairs(apply_actions_multi(frame, program), want)
+
+        last, ports = apply_actions(frame, actions)
+        assert ports == [port for _, port in want]
+        if want:
+            assert last == want[-1][0]  # trailing set-fields are discarded
+        else:
+            assert last == fully_rewritten

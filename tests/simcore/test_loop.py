@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.perf import PERF
 from repro.simcore import Simulator
 from repro.simcore.errors import ScheduleInPastError
 
@@ -257,3 +258,18 @@ def test_callback_cancelling_later_event_inside_run():
     sim.run()
     assert seen == []
     assert sim.pending_count() == 0
+
+
+def test_step_and_run_both_count_into_perf():
+    """Events driven by step() count in the process-global PERF counters
+    exactly like those driven by run()."""
+    sim = Simulator()
+    for i in range(6):
+        sim.schedule(float(i), lambda: None)
+    before = PERF.events_executed
+    assert sim.step() and sim.step()
+    sim.run(until=3.5)
+    assert sim.step()
+    sim.run()
+    assert sim.events_executed == 6
+    assert PERF.events_executed - before == sim.events_executed
